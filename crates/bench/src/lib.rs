@@ -25,8 +25,8 @@
 //! * `WARMUP` — functional warm-up instructions (default 60 000).
 //! * `SEED` — workload generation seed (default 42).
 //! * `MIXES` — comma-separated mix indices (default all 11).
-//! * `SMTSIM_JOBS` — worker threads for the phase-2 sweep fan-out
-//!   (default `0` = the machine's available parallelism; `1` forces
+//! * `SMTSIM_JOBS` — worker threads for both sweep phases, the
+//!   normalization runs and the cells (default `0` = the machine's available parallelism; `1` forces
 //!   the serial path). Figure output is byte-identical at any value.
 //! * `BENCH_ITERS` — timed iterations per bench target (default 5;
 //!   consumed by `cargo bench -p smtsim-bench`).

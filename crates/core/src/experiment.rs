@@ -1,17 +1,20 @@
 //! Experiment harness: runs Table 2 mixes under ROB configurations and
 //! computes the paper's metrics.
 //!
-//! The [`Lab`] memoizes the single-threaded normalization runs (one per
-//! `(mix, thread-slot)`, keyed by the full run-relevant state — see
-//! [`NormKey`]) so sweeping many ROB configurations — as every figure
-//! does — pays the normalization cost once.
+//! The [`Lab`] memoizes the single-threaded normalization runs, keyed by
+//! the full run-relevant state (see [`NormKey`]). A solo run depends on
+//! the benchmark and its thread slot, not on the mix, so mixes that
+//! share a benchmark in the same slot share one run, and sweeping many
+//! ROB configurations — as every figure does — pays the normalization
+//! cost once.
 //!
-//! Sweeps run in two phases ([`Lab::sweep`]): phase 1 serially
-//! precomputes every normalization run the cells need into an
-//! immutable [`NormTable`]; phase 2 fans the `mix × config` cells out
-//! across scoped worker threads (`SMTSIM_JOBS` via the figure
-//! binaries), each panic-isolated, and merges results in input order —
-//! so rendered figures are byte-identical at any job count.
+//! Sweeps run in two phases ([`Lab::sweep`]): phase 1 runs every
+//! distinct normalization run the cells need and snapshots them into an
+//! immutable [`NormTable`]; phase 2 runs the `mix × config` cells. Both
+//! phases fan their work out over the same pool of scoped worker
+//! threads (`SMTSIM_JOBS` via the figure binaries), panic-isolate each
+//! item and merge results in input order — so rendered figures are
+//! byte-identical at any job count.
 
 use crate::journal::{self, cell_key, Journal, JournalEntry, JournalError};
 use crate::metrics::{fair_throughput, weighted_ipc};
@@ -23,7 +26,7 @@ use smtsim_pipeline::{
     RunBudget, SimError, SimStats, Simulator, StopCondition,
 };
 use smtsim_workload::{mix, Workload};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -120,14 +123,19 @@ pub struct TracedMixRun {
 
 /// Cache key of one memoized normalization run. Every input that can
 /// change the measured single-threaded IPC participates: the workload
-/// (`mix`, `slot`, `seed`), the run length (`st_budget`, `warmup`),
+/// (`bench`, `slot`, `seed`), the run length (`st_budget`, `warmup`),
 /// the reference ROB configuration (by value fingerprint, not display
 /// label) and the machine configuration. Mutating any of these on the
 /// [`Lab`] therefore misses the cache instead of silently serving an
 /// IPC measured under the old state.
+///
+/// The mix is deliberately absent: a solo workload is generated from
+/// the benchmark name, the slot (its seed offset and address window)
+/// and the lab seed alone, so every mix with the same benchmark in the
+/// same slot measures the same IPC and shares one entry.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct NormKey {
-    mix: usize,
+    bench: &'static str,
     slot: usize,
     config: String,
     st_budget: u64,
@@ -139,8 +147,10 @@ struct NormKey {
 /// Immutable product of a sweep's phase 1: the single-threaded
 /// reference IPC (or the typed error its run produced) for every
 /// `(mix, slot)` the sweep's cells need, all measured under
-/// [`Lab::norm`]. Computed serially in deterministic `(mix, slot)`
-/// order, then shared read-only by the phase-2 workers.
+/// [`Lab::norm`]. Entries whose slots hold the same benchmark come from
+/// one shared run; the runs themselves are spread over the sweep's
+/// worker pool, and the table is the same at any job count. Shared
+/// read-only by the phase-2 workers.
 #[derive(Clone, Debug)]
 pub struct NormTable {
     entries: BTreeMap<(usize, usize), Result<f64, SimError>>,
@@ -347,10 +357,11 @@ pub struct Lab {
     /// (Baseline_32 alone), so FT values are directly comparable across
     /// the paper's bar charts.
     pub norm: RobConfig,
-    /// Worker threads for [`Lab::sweep`]: `None` (the default) uses
-    /// [`std::thread::available_parallelism`]; `Some(1)` forces the
-    /// serial path. The figure binaries set this from the
-    /// `SMTSIM_JOBS` environment knob. The sweep output is
+    /// Worker threads for both phases of [`Lab::sweep`] (the
+    /// normalization runs of [`Lab::norm_table`] and the cells): `None`
+    /// (the default) uses [`std::thread::available_parallelism`];
+    /// `Some(1)` forces the serial path. The figure binaries set this
+    /// from the `SMTSIM_JOBS` environment knob. The sweep output is
     /// byte-identical at any job count.
     pub jobs: Option<usize>,
     single_cache: BTreeMap<NormKey, f64>,
@@ -621,6 +632,20 @@ impl Lab {
         if let Some(&v) = self.single_cache.get(&key) {
             return Ok(v);
         }
+        let ipc = self.measure_single_ipc(mix_idx, slot, rob)?;
+        self.single_cache.insert(key, ipc);
+        Ok(ipc)
+    }
+
+    /// Runs `slot` of `mix_idx` alone under `rob` and returns its IPC,
+    /// bypassing the memo. Takes `&self`, so phase 1 can run distinct
+    /// normalization runs on worker threads.
+    fn measure_single_ipc(
+        &self,
+        mix_idx: usize,
+        slot: usize,
+        rob: RobConfig,
+    ) -> Result<f64, SimError> {
         let wl = Arc::new(mix(mix_idx).instantiate_single(slot, self.seed));
         let bounds = static_bounds(std::slice::from_ref(&wl));
         let mut cfg = self.machine.clone();
@@ -632,16 +657,17 @@ impl Lab {
             .cycle_skip(self.cycle_skip)
             .build()?;
         sim.try_run(StopCondition::AnyThreadCommitted(self.st_budget))?;
-        let ipc = sim.stats().threads[0].ipc(sim.cycle());
-        self.single_cache.insert(key, ipc);
-        Ok(ipc)
+        Ok(sim.stats().threads[0].ipc(sim.cycle()))
     }
 
     /// The cache key a normalization run of `(mix, slot)` under `rob`
     /// would use given the lab's *current* state.
+    ///
+    /// # Panics
+    /// Panics when `mix_idx` or `slot` is out of range.
     fn norm_key(&self, mix_idx: usize, slot: usize, rob: RobConfig) -> NormKey {
         NormKey {
-            mix: mix_idx,
+            bench: mix(mix_idx).benchmarks[slot],
             slot,
             config: rob.fingerprint(),
             st_budget: self.st_budget,
@@ -692,24 +718,61 @@ impl Lab {
     }
 
     /// Phase 1 of a sweep: computes (and memoizes) the normalization
-    /// run of every `(mix, slot)` in `mixes` under [`Lab::norm`],
-    /// serially, in ascending `(mix, slot)` order, and snapshots the
-    /// results into an immutable [`NormTable`]. A mix whose very
-    /// instantiation panics is skipped here — its phase-2 cells hit
-    /// the same panic and report it per cell.
+    /// run of every `(mix, slot)` in `mixes` under [`Lab::norm`] and
+    /// snapshots the results into an immutable [`NormTable`].
+    ///
+    /// Each distinct run missing from the memo ([`NormKey`]: slots with
+    /// the same benchmark share one) is run once. The runs are listed
+    /// in ascending `(mix, slot)` order of their first use and spread
+    /// over [`Lab::effective_jobs`] worker threads, each panic-isolated;
+    /// healthy results are then memoized (errors never are). The table
+    /// is identical at any job count, and a call the memo fully covers
+    /// spawns no threads. A mix whose very lookup panics is skipped
+    /// here — its phase-2 cells hit the same panic and report it per
+    /// cell.
     pub fn norm_table(&mut self, mixes: &[usize]) -> NormTable {
         let mut sorted: Vec<usize> = mixes.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut entries = BTreeMap::new();
         let norm = self.norm;
-        for m in sorted {
-            let Ok(slots) = catch_cell(|| mix(m).benchmarks.len()) else {
-                continue;
-            };
-            for slot in 0..slots {
-                let r = catch_cell(|| self.try_single_ipc(m, slot, norm)).and_then(|r| r);
-                entries.insert((m, slot), r);
+        // Building a key looks the mix up, which panics on a bad index,
+        // so it stays inside the caught region.
+        let slots: Vec<((usize, usize), NormKey)> = sorted
+            .into_iter()
+            .filter_map(|m| {
+                catch_cell(|| {
+                    (0..mix(m).benchmarks.len())
+                        .map(|slot| ((m, slot), self.norm_key(m, slot, norm)))
+                        .collect::<Vec<_>>()
+                })
+                .ok()
+            })
+            .flatten()
+            .collect();
+        let mut seen = BTreeSet::new();
+        let missing: Vec<(&NormKey, (usize, usize))> = slots
+            .iter()
+            .filter(|(_, key)| !self.single_cache.contains_key(key) && seen.insert(key))
+            .map(|(at, key)| (key, *at))
+            .collect();
+        let measured = self.fan_out(&missing, &|&(_, (m, slot))| {
+            self.measure_single_ipc(m, slot, norm)
+        });
+        let fresh: BTreeMap<&NormKey, Result<f64, SimError>> =
+            missing.iter().map(|&(key, _)| key).zip(measured).collect();
+        let entries = slots
+            .iter()
+            .map(|(at, key)| {
+                let r = fresh
+                    .get(key)
+                    .cloned()
+                    .unwrap_or_else(|| Ok(self.single_cache[key]));
+                (*at, r)
+            })
+            .collect();
+        for (key, r) in fresh {
+            if let Ok(v) = r {
+                self.single_cache.insert(key.clone(), v);
             }
         }
         NormTable { entries }
@@ -853,11 +916,11 @@ impl Lab {
     /// Runs a batch of `mix × config` cells and returns their results
     /// in input order.
     ///
-    /// Phase 1 serially precomputes every normalization run the cells
-    /// need ([`Lab::norm_table`]); the immutable table is then shared
-    /// read-only by phase 2, which fans the cells out across
-    /// [`Lab::effective_jobs`] scoped worker threads pulling from a
-    /// shared work queue. Each cell is panic-isolated: a panicking
+    /// Phase 1 precomputes every normalization run the cells need
+    /// ([`Lab::norm_table`]); the immutable table is then shared
+    /// read-only by phase 2, which runs the cells. Both phases fan out
+    /// across [`Lab::effective_jobs`] scoped worker threads pulling
+    /// from a shared work queue. Each cell is panic-isolated: a panicking
     /// cell yields [`SimError::CellPanic`] — rendered `n/a` by the
     /// figure layer — instead of killing the sweep. Results are merged
     /// by input index, so the output (and every figure rendered from
@@ -1007,9 +1070,12 @@ impl Lab {
                     )
                 });
             }
-            let round = self.run_round(&queue, cells, norm, attempt, run);
+            let ran = self.fan_out(&queue, &|&i| {
+                let (m, cfg) = cells[i];
+                run(self, m, cfg, norm, attempt)
+            });
             let mut still = Vec::new();
-            for (i, res) in round {
+            for (&i, res) in queue.iter().zip(ran) {
                 if let Ok(r) = &res {
                     on_ok(i, r, attempt);
                 } else if res.as_ref().err().is_some_and(SimError::is_transient)
@@ -1025,60 +1091,46 @@ impl Lab {
         results
     }
 
-    /// One engine round: fans `queue` (cell indices) out across
-    /// [`Lab::effective_jobs`] scoped workers, panic-isolating each
-    /// cell. Returns `(index, result)` pairs sorted by index.
-    fn run_round<R: Send>(
+    /// The worker pool under both sweep phases: applies `f` to every
+    /// item on up to [`Lab::effective_jobs`] scoped workers pulling
+    /// from a shared queue, panic-isolating each call, and returns the
+    /// results in input order. With one worker — `jobs = 1`, or at most
+    /// one item (a fully warm phase 1 has none) — it runs on the
+    /// calling thread and spawns nothing.
+    fn fan_out<T: Sync, R: Send>(
         &self,
-        queue: &[usize],
-        cells: &[SweepCell],
-        norm: &NormTable,
-        attempt: u32,
-        run: &(impl Fn(&Lab, usize, RobConfig, &NormTable, u32) -> Result<R, SimError> + Sync),
-    ) -> Vec<(usize, Result<R, SimError>)> {
-        let jobs = self.effective_jobs().min(queue.len().max(1));
-        let this: &Lab = self;
+        items: &[T],
+        f: &(impl Fn(&T) -> Result<R, SimError> + Sync),
+    ) -> Vec<Result<R, SimError>> {
+        let run = |item: &T| catch_cell(|| f(item)).and_then(|r| r);
+        let jobs = self.effective_jobs().min(items.len());
         if jobs <= 1 {
-            return queue
-                .iter()
-                .map(|&i| {
-                    let (m, cfg) = cells[i];
-                    (
-                        i,
-                        catch_cell(|| run(this, m, cfg, norm, attempt)).and_then(|r| r),
-                    )
-                })
-                .collect();
+            return items.iter().map(run).collect();
         }
         let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let next = &next;
+        let mut merged: Vec<(usize, Result<R, SimError>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..jobs)
                 .map(|_| {
-                    s.spawn(move || {
+                    s.spawn(|| {
                         let mut out = Vec::new();
                         loop {
-                            let qi = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = queue.get(qi) else {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(i) else {
                                 break;
                             };
-                            let (m, cfg) = cells[i];
-                            out.push((
-                                i,
-                                catch_cell(|| run(this, m, cfg, norm, attempt)).and_then(|r| r),
-                            ));
+                            out.push((i, run(item)));
                         }
                         out
                     })
                 })
                 .collect();
-            let mut merged = Vec::with_capacity(queue.len());
-            for h in handles {
-                merged.extend(h.join().expect("workers catch cell panics"));
-            }
-            merged.sort_by_key(|&(i, _)| i);
-            merged
-        })
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("workers catch panics"))
+                .collect()
+        });
+        merged.sort_by_key(|&(i, _)| i);
+        merged.into_iter().map(|(_, r)| r).collect()
     }
 
     /// True when any resilience feature — journal, watchdog budget,
@@ -1513,6 +1565,82 @@ mod tests {
         assert!(t.get(1, 3).is_ok());
         let missing = t.get(5, 0).expect_err("mix 5 was not requested");
         assert_eq!(missing.kind(), "invalid-config");
+    }
+
+    /// A lab with budgets small enough to run every solo run of Table 2
+    /// in a unit test.
+    fn tiny_lab() -> Lab {
+        Lab::new(7).with_budgets(2_000, 2_000).with_warmup(2_000)
+    }
+
+    #[test]
+    fn cache_shares_solo_runs_across_mixes() {
+        // Sharing one memo entry per (benchmark, slot) is sound only if
+        // every mix with that benchmark in that slot measures the very
+        // same solo IPC: check each such group on fresh labs.
+        let mut shared = 0;
+        for slot in 0..4 {
+            let mut by_bench: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+            for m in 1..=11 {
+                by_bench.entry(mix(m).benchmarks[slot]).or_default().push(m);
+            }
+            for (bench, mixes) in by_bench.into_iter().filter(|(_, ms)| ms.len() > 1) {
+                let bits: Vec<u64> = mixes
+                    .iter()
+                    .map(|&m| {
+                        tiny_lab()
+                            .single_ipc(m, slot, RobConfig::Baseline(32))
+                            .to_bits()
+                    })
+                    .collect();
+                assert!(
+                    bits.iter().all(|&b| b == bits[0]),
+                    "{bench} in slot {slot} measured differently across mixes {mixes:?}"
+                );
+                shared += 1;
+            }
+        }
+        assert!(shared > 0, "Table 2 reuses benchmarks in the same slot");
+        for (mixes, distinct) in [
+            ((1..=11).collect::<Vec<_>>(), 29),
+            (vec![1, 2, 3, 4], 9),
+            (vec![10, 11], 8),
+        ] {
+            let mut lab = tiny_lab();
+            let t = lab.norm_table(&mixes);
+            assert_eq!(t.len(), 4 * mixes.len());
+            assert_eq!(lab.cached_norm_runs(), distinct, "mixes {mixes:?}");
+        }
+    }
+
+    #[test]
+    fn norm_table_is_identical_at_any_job_count() {
+        let all: Vec<usize> = (1..=11).collect();
+        let run = |jobs: usize| {
+            let mut lab = tiny_lab().with_jobs(Some(jobs));
+            let table = format!("{:?}", lab.norm_table(&all));
+            let runs = lab.cached_norm_runs();
+            // The warm call runs nothing and adds no memo entries.
+            assert_eq!(format!("{:?}", lab.norm_table(&all)), table);
+            assert_eq!(lab.cached_norm_runs(), runs, "warm call grew the memo");
+            (table, runs)
+        };
+        let serial = run(1);
+        assert_eq!(serial, run(2), "jobs = 2 changed the table");
+        assert_eq!(serial, run(4), "jobs = 4 changed the table");
+    }
+
+    #[test]
+    fn norm_table_skips_out_of_range_mixes_without_unwinding() {
+        let mut lab = tiny_lab().with_jobs(Some(2));
+        // Mix 12 does not exist: looking it up to build its memo key
+        // panics, which must skip the mix, not unwind out of phase 1.
+        let t = lab.norm_table(&[1, 12]);
+        assert_eq!(t.len(), 4, "Mix 1's four slots only");
+        for slot in 0..4 {
+            assert!(t.get(1, slot).is_ok(), "slot {slot}: {:?}", t.get(1, slot));
+        }
+        assert_eq!(t.get(12, 0).expect_err("skipped").kind(), "invalid-config");
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!   to its own connection thread; never blocks on request work, so a
 //!   full admission queue still answers `queue-full` immediately.
 //! * **connection threads** (1 per live client) — parse the request,
-//!   run admission + spec lowering + the *serial* phase-1
-//!   normalization (warm-started from the cache), enqueue the
-//!   request's cells, then stream completions back in completion
-//!   order and finish with the rendered figure.
+//!   run admission + spec lowering + the phase-1 normalization
+//!   (warm-started from the cache; its missing solo runs fan out over
+//!   up to the lowered lab's `jobs` scoped threads, none when the warm
+//!   table covers them), enqueue the request's cells, then stream
+//!   completions back in completion order and finish with the
+//!   rendered figure.
 //! * **worker pool** (N threads) — pull one cell at a time, round-
 //!   robin across admitted requests (fair multi-client progress).
 //!   Cache hits resolve under the scheduler lock; misses run the cell
@@ -606,7 +608,8 @@ fn resolve_spec(shared: &Shared, source: &SpecSource) -> Result<ExperimentSpec, 
 }
 
 /// Lowers the spec, computes the cache universe, opens the shard and
-/// runs the warm-started serial phase-1 normalization. `tx` is the
+/// runs the warm-started phase-1 normalization, which uses up to the
+/// lowered lab's `jobs` threads for its missing runs. `tx` is the
 /// completion channel the connection thread keeps the receiver of.
 fn prepare_request(
     shared: &Shared,
@@ -632,8 +635,9 @@ fn prepare_request(
         },
         reason: e.to_string(),
     })?;
-    // Phase 1, serial, warm-started from this universe's earlier
-    // requests; the freshly measured entries are folded back in.
+    // Phase 1, warm-started from this universe's earlier requests (up
+    // to `lab.jobs` threads, on this connection thread's behalf); the
+    // freshly measured entries are folded back in.
     shared.cache.seed_lab(&universe, &mut lab);
     let norm = lab.norm_table(&mixes);
     shared.cache.store_norm(&universe, &norm);
