@@ -147,7 +147,7 @@ pub struct BenchEnv {
     /// `FUZZ_SEED` — base seed for fresh fuzz cases.
     pub fuzz_seed: u64,
     /// `SMTSIM_JOURNAL` — resumable sweep-journal path (unset/empty =
-    /// no journaling).
+    /// the lab's result store stays in memory).
     pub journal: Option<PathBuf>,
     /// `SMTSIM_CELL_TIMEOUT` — wall-clock watchdog per sweep cell, in
     /// milliseconds (`0` = unlimited; non-deterministic by nature).

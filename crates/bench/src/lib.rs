@@ -538,6 +538,51 @@ mod tests {
     }
 
     #[test]
+    fn shared_suite_lab_renders_each_figure_like_a_fresh_lab() {
+        use smtsim_rob2::{figures, report, ExperimentSpec, Lab, RobConfig};
+        let _g = ENV_LOCK.lock().unwrap();
+        std::env::set_var("BUDGET", "8000");
+        std::env::set_var("WARMUP", "10000");
+        std::env::set_var("MIXES", "1,2,9");
+        let env = BenchEnv::from_env().unwrap();
+        let load = |id: &str| ExperimentSpec::load(&spec_dir().join(format!("{id}.toml"))).unwrap();
+        let render = |lab: &mut Lab, spec: &ExperimentSpec| {
+            let pairs: Vec<(String, RobConfig)> = spec
+                .variants
+                .iter()
+                .map(|v| (v.label.clone(), v.config))
+                .collect();
+            let title = spec.title.as_deref().unwrap();
+            report::render_figure(&figures::ft_sweep(lab, title, pairs, &env.mixes))
+        };
+        let suite = load("all_figures");
+        let specs: Vec<ExperimentSpec> = ["fig2", "fig4", "fig5", "fig6"]
+            .iter()
+            .map(|id| load(id))
+            .collect();
+        for jobs in [1, 4] {
+            // The suite's lab: later figures are served their Baseline
+            // cells from the result store filled by earlier ones.
+            let mut shared = env
+                .with_spec(&suite)
+                .lab_for_spec(&suite)
+                .with_jobs(Some(jobs));
+            for spec in &specs {
+                let mut fresh = env.with_spec(spec).lab_for_spec(spec).with_jobs(Some(jobs));
+                assert_eq!(
+                    render(&mut shared, spec),
+                    render(&mut fresh, spec),
+                    "{} on the shared lab drifted at jobs={jobs}",
+                    spec.id
+                );
+            }
+        }
+        std::env::remove_var("BUDGET");
+        std::env::remove_var("WARMUP");
+        std::env::remove_var("MIXES");
+    }
+
+    #[test]
     fn malformed_spec_files_become_typed_config_errors() {
         use smtsim_rob2::ExperimentSpec;
         // The committed determinism fixture: a typo'd `[knobs]` key.

@@ -29,18 +29,14 @@ pub(super) fn figure_data(lab: &mut Lab, mixes: &[usize], spec: &ExperimentSpec)
 
 /// Builds the DoD histogram a `kind = "histogram"` spec describes
 /// (the main scheme only — the comparison reference is run separately).
-pub(super) fn histogram_data(
-    lab: &mut Lab,
-    mixes: &[usize],
-    spec: &ExperimentSpec,
-) -> HistogramData {
+fn histogram_data(lab: &mut Lab, mixes: &[usize], spec: &ExperimentSpec) -> HistogramData {
     figures::dod_figure(lab, title(spec), spec.variants[0].config, mixes)
 }
 
 /// Formats the pooled-mean comparison a histogram spec's `compare`
 /// key asks for. A histogram whose every mix failed pools to a 0 (or
 /// NaN) mean; the comparison is then undefined, not "+0 %".
-pub(super) fn compare_line(pooled: f64, base: f64, label: &str) -> String {
+fn compare_line(pooled: f64, base: f64, label: &str) -> String {
     let vs = match improvement(pooled, base) {
         Some(d) => format!("{:+.1}%", d * 100.0),
         None => "n/a".to_string(),
@@ -56,24 +52,33 @@ pub(super) fn run_figure(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(), Bi
     Ok(())
 }
 
-/// `kind = "histogram"`: one DoD histogram to stdout, with the
+/// Renders a `kind = "histogram"` spec: the DoD histogram plus the
 /// optional pooled-mean comparison line. The reference scheme runs
 /// *first* on the same lab, matching the legacy fig3/fig7 dispatch
-/// order cell for cell.
-pub(super) fn run_histogram(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(), BinError> {
-    let mut lab = prepared_spec_lab(env, spec)?;
+/// order cell for cell; on a lab that already swept it (Figure 1 in a
+/// suite) its cells come from the lab's result store.
+pub(super) fn histogram_text(
+    lab: &mut Lab,
+    mixes: &[usize],
+    spec: &ExperimentSpec,
+) -> (HistogramData, String) {
     let base = spec
         .compare
         .as_ref()
-        .map(|(cmp, label)| figures::dod_figure(&mut lab, label, cmp.config, &env.mixes));
-    let fig = histogram_data(&mut lab, &env.mixes, spec);
-    print!("{}", report::render_histogram(&fig));
+        .map(|(cmp, label)| figures::dod_figure(lab, label, cmp.config, mixes));
+    let fig = histogram_data(lab, mixes, spec);
+    let mut text = report::render_histogram(&fig);
     if let (Some(base), Some((_, label))) = (&base, &spec.compare) {
-        print!(
-            "{}",
-            compare_line(fig.pooled_mean(), base.pooled_mean(), label)
-        );
+        text.push_str(&compare_line(fig.pooled_mean(), base.pooled_mean(), label));
     }
+    (fig, text)
+}
+
+/// `kind = "histogram"`: one DoD histogram to stdout, with the
+/// optional pooled-mean comparison line.
+pub(super) fn run_histogram(env: &BenchEnv, spec: &ExperimentSpec) -> Result<(), BinError> {
+    let mut lab = prepared_spec_lab(env, spec)?;
+    print!("{}", histogram_text(&mut lab, &env.mixes, spec).1);
     Ok(())
 }
 

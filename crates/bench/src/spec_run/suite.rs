@@ -9,15 +9,14 @@
 //! The shared lab means every sub-spec must agree with the suite on
 //! machine, normalization baseline, mixes and knobs — a sub-spec that
 //! declares its own would silently be overridden, so that is refused
-//! as a configuration error instead. Histogram pooled means are
-//! memoized by scheme fingerprint, so a `compare` reference that
-//! already rendered earlier in the suite (Figure 1 for Figures 3 and
-//! 7) is reused instead of re-run.
+//! as a configuration error instead. A cell that recurs across
+//! entries — the Baseline bars of every FT figure, the Figure 1
+//! reference of Figures 3 and 7 — is served from the shared lab's
+//! result store instead of re-run.
 
 use super::{figures, sibling_spec};
 use crate::{BenchEnv, BinError};
 use smtsim_rob2::{report, ExperimentSpec, SpecKind, SpecKnobs};
-use std::collections::BTreeMap;
 use std::fs;
 
 /// Refuses a sub-spec whose own experiment parameters would silently
@@ -75,9 +74,6 @@ pub(super) fn run(
     };
 
     let mut failed: Vec<String> = Vec::new();
-    // Pooled mean per already-rendered histogram scheme, so a later
-    // histogram's `compare` reference reuses it instead of re-running.
-    let mut pooled: BTreeMap<String, f64> = BTreeMap::new();
 
     for sub in &subs {
         match sub.kind {
@@ -89,21 +85,8 @@ pub(super) fn run(
                 write(&sub.id, report::render_figure(&fig))?;
             }
             SpecKind::Histogram => {
-                let base = sub.compare.as_ref().map(|(cmp, label)| {
-                    let key = cmp.config.fingerprint();
-                    let mean = pooled.get(&key).copied().unwrap_or_else(|| {
-                        smtsim_rob2::figures::dod_figure(&mut lab, label, cmp.config, &mixes)
-                            .pooled_mean()
-                    });
-                    (mean, label.clone())
-                });
-                let fig = figures::histogram_data(&mut lab, &mixes, sub);
+                let (fig, text) = figures::histogram_text(&mut lab, &mixes, sub);
                 failed.extend(fig.failures.iter().cloned());
-                pooled.insert(sub.variants[0].config.fingerprint(), fig.pooled_mean());
-                let mut text = report::render_histogram(&fig);
-                if let Some((mean, label)) = base {
-                    text.push_str(&figures::compare_line(fig.pooled_mean(), mean, &label));
-                }
                 write(&sub.id, text)?;
             }
             other => {

@@ -32,8 +32,10 @@ fn full_figure_sweep(
     out
 }
 
-/// Number of multithreaded cells the sweep dispatches (for the
-/// record): the sum of each listed figure's configuration count.
+/// Number of multithreaded figure cells the sweep renders (for the
+/// record): the sum of each listed figure's configuration count. Cells
+/// shared by several figures are simulated once and then served from
+/// the lab's result store.
 fn cell_count(specs: &[ExperimentSpec], mixes: usize) -> usize {
     specs.iter().map(|s| s.variants.len()).sum::<usize>() * mixes
 }
@@ -135,12 +137,11 @@ pub(super) fn run(env: &BenchEnv, spec: &ExperimentSpec, path: &Path) -> Result<
     );
 
     // Journal overhead: one figure (unique cells — no cross-figure
-    // journal hits) timed serially with and without a cold resumable
-    // journal, isolating the pure append+flush cost per completed
-    // cell. The full figure set would flatter the journal instead:
-    // Baseline cells recur across the listed figures, so later
-    // figures get served from the journal and the "overhead" comes
-    // out < 1.
+    // hits) timed serially with the in-memory result store and with a
+    // cold journal file, isolating the pure serialize+append+flush cost
+    // per completed cell. The full figure set would not isolate it:
+    // Baseline cells recur across the listed figures, so later figures
+    // are served from the store whether or not a file backs it.
     let journal_path =
         std::env::temp_dir().join(format!("smtsim-sweep-bench-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&journal_path);

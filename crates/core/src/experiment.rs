@@ -15,6 +15,12 @@
 //! threads (`SMTSIM_JOBS` via the figure binaries), panic-isolate each
 //! item and merge results in input order — so rendered figures are
 //! byte-identical at any job count.
+//!
+//! Completed cells land in the lab's one result store, a
+//! [`Journal`] keyed by the experiment universe and the cell: in memory
+//! unless `SMTSIM_JOURNAL` names a file. A cell that recurs on the same
+//! lab — the Baseline bars every FT figure plots — is simulated once
+//! and served from the store afterwards.
 
 use crate::journal::{self, cell_key, Journal, JournalEntry, JournalError};
 use crate::metrics::{fair_throughput, weighted_ipc};
@@ -29,7 +35,7 @@ use smtsim_workload::{mix, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -232,7 +238,8 @@ pub struct CellOutcome {
     /// this field — and everything derived from it — is identical
     /// between a resumed sweep and an uninterrupted one.
     pub attempts: u32,
-    /// True when the result was loaded from the journal instead of run.
+    /// True when the result was served from the lab's result store —
+    /// in memory or a journal file — instead of run.
     pub from_journal: bool,
 }
 
@@ -322,9 +329,10 @@ impl SweepReport {
         self.outcomes.into_iter().map(|o| o.result).collect()
     }
 
-    /// Cells served from the journal instead of being re-run. (Path-
-    /// *dependent* by nature — this is deliberately not part of
-    /// [`SweepHealth`] and never rendered into figures.)
+    /// Cells served from the result store (in memory or a journal
+    /// file) instead of being re-run. (Path-*dependent* by nature —
+    /// this is deliberately not part of [`SweepHealth`] and never
+    /// rendered into figures.)
     pub fn journal_hits(&self) -> usize {
         self.outcomes.iter().filter(|o| o.from_journal).count()
     }
@@ -337,7 +345,9 @@ impl SweepReport {
     }
 }
 
-/// Experiment driver with memoized normalization runs.
+/// Experiment driver with memoized normalization runs and a result
+/// store that serves every sweep cell already completed under the
+/// current experiment universe (see [`Lab::sweep_cells`]).
 pub struct Lab {
     /// The multithreaded machine (defaults to Table 1).
     pub machine: MachineConfig,
@@ -375,12 +385,13 @@ pub struct Lab {
     /// [`Lab::set_transient_fault`]); these model faults the retry
     /// layer can recover from.
     transient_faults: BTreeMap<usize, (FaultPlan, u32)>,
-    /// Resumable sweep-journal path (`SMTSIM_JOURNAL`); `None` = no
-    /// journaling. See [`crate::journal`].
+    /// Resumable sweep-journal path (`SMTSIM_JOURNAL`); `None` keeps
+    /// the result store in memory only. See [`crate::journal`].
     pub journal_path: Option<PathBuf>,
-    /// The open journal (lazily created from `journal_path`, dropped
+    /// The result store: opened from `journal_path`, or in memory when
+    /// no path is armed. Created lazily by the first sweep, dropped
     /// whenever the lab state — and therefore the universe
-    /// fingerprint — changes).
+    /// fingerprint — changes.
     journal: Option<Arc<Journal>>,
     /// Simulated-cycle ceiling per sweep cell (`SMTSIM_CELL_CYCLES`);
     /// the deterministic watchdog. `None` = unlimited.
@@ -396,7 +407,9 @@ pub struct Lab {
     /// (`SMTSIM_NO_SKIP` disables it). Timing-transparent by
     /// construction — results are byte-identical either way — so it is
     /// deliberately *not* part of [`NormKey`] or the journal universe
-    /// fingerprint.
+    /// fingerprint. Skip-equivalence comparisons must therefore use
+    /// fresh labs: flipping this field on a lab that already swept a
+    /// cell serves the stored result instead of re-simulating it.
     pub cycle_skip: bool,
     /// Cooperative cancellation for every *measured* (multithreaded)
     /// cell this lab runs: an embedding daemon arms one token per
@@ -928,8 +941,8 @@ impl Lab {
     /// `jobs = 1` path.
     ///
     /// This is [`Lab::sweep_cells`] stripped down to the classic
-    /// result vector; all resilience features (journal, watchdog,
-    /// retries) apply.
+    /// result vector; the result store and all resilience features
+    /// (journal file, watchdog, retries) apply.
     pub fn sweep(&mut self, cells: &[SweepCell]) -> Vec<Result<MixRun, SimError>> {
         self.sweep_cells(cells).results()
     }
@@ -937,14 +950,16 @@ impl Lab {
     /// The resilient sweep: [`Lab::sweep`] returning per-cell
     /// [`CellOutcome`]s and a [`SweepHealth`] summary.
     ///
-    /// When a journal is armed ([`Lab::with_journal`] /
-    /// `SMTSIM_JOURNAL`), cells already journaled under the current
-    /// experiment universe are served from disk without re-running, and
-    /// every newly-completed cell is appended durably the moment it
-    /// finishes — so a killed sweep, relaunched with the same journal,
-    /// resumes after the last completed cell and produces byte-identical
-    /// results. Failed cells are never journaled; they re-run (still
-    /// deterministically) on resume.
+    /// Cells already completed under the current experiment universe
+    /// are served from the lab's result store without re-running, and
+    /// every newly-completed cell is recorded the moment it finishes.
+    /// The store lives in memory, so a cell shared by several figures
+    /// on one lab runs once. When a journal file is armed
+    /// ([`Lab::with_journal`] / `SMTSIM_JOURNAL`) each record is also
+    /// appended durably — so a killed sweep, relaunched with the same
+    /// journal, resumes after the last completed cell and produces
+    /// byte-identical results. Failed cells are never stored; they
+    /// re-run (still deterministically) on the next sweep.
     ///
     /// When retries are armed ([`Lab::with_retries`] /
     /// `SMTSIM_CELL_RETRIES`), transiently-failed cells
@@ -968,25 +983,19 @@ impl Lab {
             .iter()
             .map(|&(m, cfg)| cell_key(m, &cfg.fingerprint()))
             .collect();
-        let journaled: Vec<Option<JournalEntry>> = keys
-            .iter()
-            .map(|k| journal.as_deref().and_then(|j| j.lookup(k)))
-            .collect();
+        let journaled: Vec<Option<JournalEntry>> = keys.iter().map(|k| journal.lookup(k)).collect();
         let skip: Vec<bool> = journaled.iter().map(Option::is_some).collect();
-        let journal = journal.as_deref();
         let keys = &keys;
         let ran = self.sweep_engine(
             cells,
             &norm,
             &skip,
             &|i, run: &MixRun, attempts| {
-                if let Some(j) = journal {
-                    if let Err(e) = j.record(&keys[i], run, attempts) {
-                        // A dying disk must not kill a healthy sweep:
-                        // degrade to non-durable execution (results
-                        // unchanged; only resumability is lost).
-                        eprintln!("warning: sweep journal append failed ({e}); cell result kept in memory only");
-                    }
+                if let Err(e) = journal.record(&keys[i], run, attempts) {
+                    // A dying disk must not kill a healthy sweep:
+                    // degrade to non-durable execution (results
+                    // unchanged; only resumability is lost).
+                    eprintln!("warning: sweep journal append failed ({e}); cell result kept in memory only");
                 }
             },
             &|lab, m, cfg, norm, attempt| lab.run_cell_attempt(m, cfg, norm, attempt),
@@ -1018,8 +1027,9 @@ impl Lab {
     /// [`Lab::run_cell_traced`]). Same two-phase structure, same
     /// panic isolation, same watchdog and retry layers, same
     /// input-order merge — the traced output is byte-identical at any
-    /// job count. Traced sweeps are never journaled (the journal
-    /// stores [`MixRun`]s, not event streams).
+    /// job count. Traced sweeps bypass the result store — they are
+    /// neither served from it nor recorded into it (it stores
+    /// [`MixRun`]s, not event streams).
     pub fn sweep_traced(&mut self, cells: &[SweepCell]) -> Vec<Result<TracedMixRun, SimError>> {
         let mixes: Vec<usize> = cells.iter().map(|&(m, _)| m).collect();
         let norm = self.norm_table(&mixes);
@@ -1174,23 +1184,23 @@ impl Lab {
         ))
     }
 
-    /// Opens (or re-opens) the journal at [`Lab::journal_path`] under
-    /// the current universe fingerprint, returning how many completed
-    /// cells it already holds. `Ok(0)` when no path is armed. This is
-    /// the fallible entry point: bins and tests call it up front and
-    /// map [`JournalError`] to a diagnostic + exit code, so the panic
-    /// inside [`Lab::sweep_cells`] is unreachable for them.
+    /// Opens (or re-opens) the result store under the current universe
+    /// fingerprint — the journal at [`Lab::journal_path`], or an empty
+    /// in-memory one when no path is armed — returning how many
+    /// completed cells it already holds. This is the fallible entry
+    /// point: bins and tests call it up front and map [`JournalError`]
+    /// to a diagnostic + exit code, so the panic inside
+    /// [`Lab::sweep_cells`] is unreachable for them.
     pub fn open_journal(&mut self) -> Result<usize, JournalError> {
         self.journal = None;
-        match self.journal_path.clone() {
-            None => Ok(0),
-            Some(path) => {
-                let j = Journal::open(&path, &self.journal_universe())?;
-                let n = j.len();
-                self.journal = Some(Arc::new(j));
-                Ok(n)
-            }
-        }
+        let universe = self.journal_universe();
+        let j = match &self.journal_path {
+            None => Journal::in_memory(&universe),
+            Some(path) => Journal::open(path, &universe)?,
+        };
+        let n = j.len();
+        self.journal = Some(Arc::new(j));
+        Ok(n)
     }
 
     /// Installs an already-open shared [`Journal`] handle instead of
@@ -1211,27 +1221,27 @@ impl Lab {
                 found: journal.universe().to_string(),
             });
         }
-        self.journal_path = Some(journal.path().to_path_buf());
+        self.journal_path = journal.path().map(Path::to_path_buf);
         self.journal = Some(journal);
         Ok(())
     }
 
-    /// The open journal for the *current* universe, if a path is
-    /// armed. Re-opens when no journal is open yet or the open one was
-    /// created under a different fingerprint (possible via direct
-    /// `pub` field mutation, which bypasses `change_state`).
-    fn ensure_journal(&mut self) -> Option<Arc<Journal>> {
-        let stale = match (&self.journal, &self.journal_path) {
-            (None, None) => false,
-            (Some(j), Some(_)) => j.universe() != self.journal_universe(),
-            _ => true,
-        };
-        if stale {
+    /// The result store for the *current* universe. Re-opens when none
+    /// is open yet, or the open one was created under a different
+    /// fingerprint or path (possible via direct `pub` field mutation,
+    /// which bypasses `change_state`).
+    fn ensure_journal(&mut self) -> Arc<Journal> {
+        let current = self.journal.as_ref().is_some_and(|j| {
+            j.path() == self.journal_path.as_deref() && j.universe() == self.journal_universe()
+        });
+        if !current {
             if let Err(e) = self.open_journal() {
                 panic!("sweep journal unusable: {e}");
             }
         }
-        self.journal.clone()
+        self.journal
+            .clone()
+            .expect("open_journal installed a store")
     }
 
     /// Crash-simulation entry point for resume tests: runs the sweep
@@ -1852,5 +1862,150 @@ mod tests {
             other => panic!("stale journal accepted: {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A plain lab (no journal path armed) cheap enough to sweep the
+    /// same cells several times in one test.
+    fn store_lab() -> Lab {
+        Lab::new(7).with_budgets(4_000, 4_000).with_warmup(4_000)
+    }
+
+    /// One FT figure's cells: every scheme over every mix, scheme-major
+    /// (the order `figures::ft_sweep` dispatches them in).
+    fn figure_cells(schemes: &[RobConfig], mixes: &[usize]) -> Vec<SweepCell> {
+        schemes
+            .iter()
+            .flat_map(|&cfg| mixes.iter().map(move |&m| (m, cfg)))
+            .collect()
+    }
+
+    #[test]
+    fn result_store_serves_cells_repeated_across_figures() {
+        let mixes = [1, 10];
+        let fig2 = figure_cells(
+            &[
+                RobConfig::Baseline(32),
+                RobConfig::Baseline(128),
+                RobConfig::TwoLevel(TwoLevelConfig::r_rob(16)),
+            ],
+            &mixes,
+        );
+        let fig4 = figure_cells(
+            &[
+                RobConfig::Baseline(32),
+                RobConfig::Baseline(128),
+                RobConfig::TwoLevel(TwoLevelConfig::relaxed_r_rob(15)),
+            ],
+            &mixes,
+        );
+        let mut lab = store_lab();
+        assert_eq!(lab.sweep_cells(&fig2).journal_hits(), 0);
+        let second = lab.sweep_cells(&fig4);
+        assert_eq!(second.journal_hits(), 4, "both baselines x 2 mixes");
+        let hits: Vec<bool> = second.outcomes.iter().map(|o| o.from_journal).collect();
+        assert_eq!(hits, [true, true, true, true, false, false]);
+        let fresh = store_lab().sweep_cells(&fig4);
+        assert_eq!(fresh.journal_hits(), 0);
+        assert_eq!(second.health, fresh.health);
+        assert_eq!(
+            format!("{:?}", second.results()),
+            format!("{:?}", fresh.results())
+        );
+    }
+
+    #[test]
+    fn result_store_misses_after_a_universe_change() {
+        let cells = [
+            (1usize, RobConfig::Baseline(32)),
+            (2usize, RobConfig::TwoLevel(TwoLevelConfig::r_rob(16))),
+        ];
+        // Direct `pub` field mutation bypasses the state-change funnel;
+        // the store must still notice the new universe.
+        let mut lab = store_lab();
+        lab.sweep_cells(&cells);
+        lab.mt_budget = 3_000;
+        let moved = lab.sweep_cells(&cells);
+        assert_eq!(
+            moved.journal_hits(),
+            0,
+            "stale cell served after mt_budget changed"
+        );
+        let mut fresh = store_lab();
+        fresh.mt_budget = 3_000;
+        assert_eq!(
+            format!("{:?}", moved.results()),
+            format!("{:?}", fresh.sweep(&cells))
+        );
+        // The store now holds the new universe's cells.
+        assert_eq!(lab.sweep_cells(&cells).journal_hits(), cells.len());
+
+        let mut plan = FaultPlan::new(3);
+        plan.delay_fill = 2;
+        plan.delay_cycles = 150;
+        let mut lab = store_lab();
+        lab.sweep_cells(&cells);
+        lab.set_fault(None, plan.clone());
+        let faulted = lab.sweep_cells(&cells);
+        assert_eq!(
+            faulted.journal_hits(),
+            0,
+            "stale cell served after set_fault"
+        );
+        let mut fresh = store_lab();
+        fresh.set_fault(None, plan);
+        assert_eq!(
+            format!("{:?}", faulted.results()),
+            format!("{:?}", fresh.sweep(&cells))
+        );
+    }
+
+    #[test]
+    fn result_store_never_stores_failed_cells() {
+        // Mix 99 does not exist: the cell panics on every run.
+        let cells = [(1, RobConfig::Baseline(32)), (99, RobConfig::Baseline(32))];
+        let mut lab = store_lab();
+        let first = lab.sweep_cells(&cells);
+        let second = lab.sweep_cells(&cells);
+        assert!(second.outcomes[0].from_journal, "healthy cell not stored");
+        assert!(!second.outcomes[1].from_journal, "failed cell stored");
+        assert!(matches!(
+            second.outcomes[1].result,
+            Err(SimError::CellPanic { .. })
+        ));
+        assert_eq!(
+            format!("{:?}", second.outcomes[1].result),
+            format!("{:?}", first.outcomes[1].result)
+        );
+
+        let cells = [(1, RobConfig::Baseline(32))];
+        let mut lab = store_lab().with_cell_cycle_budget(Some(500));
+        let first = lab.sweep_cells(&cells);
+        let second = lab.sweep_cells(&cells);
+        assert_eq!(second.journal_hits(), 0, "timed-out cell stored");
+        assert!(matches!(
+            second.outcomes[0].result,
+            Err(SimError::CellTimeout { cycle: 500, .. })
+        ));
+        assert_eq!(
+            format!("{:?}", second.outcomes[0].result),
+            format!("{:?}", first.outcomes[0].result)
+        );
+    }
+
+    #[test]
+    fn result_store_leaves_traced_sweeps_traced() {
+        let cells = [(1, RobConfig::Baseline(32))];
+        let mut lab = store_lab();
+        let plain = lab.sweep(&cells);
+        let traced = lab.sweep_traced(&cells);
+        let traced = traced[0].as_ref().expect("healthy cell");
+        assert!(
+            !traced.events.is_empty(),
+            "traced sweep served from the store"
+        );
+        assert_eq!(
+            format!("{:?}", traced.run),
+            format!("{:?}", plain[0].as_ref().expect("healthy cell"))
+        );
     }
 }

@@ -1,12 +1,16 @@
-//! Resumable on-disk sweep journal.
+//! The sweep result store: one record per *completed* sweep cell,
+//! keyed by [`cell_key`] under one experiment universe.
 //!
-//! An append-only JSON-lines file recording one line per *completed*
-//! sweep cell, so a killed sweep relaunched with the same journal path
-//! skips every already-finished cell and still produces byte-identical
-//! figure output to an uninterrupted run (`SMTSIM_JOURNAL`, see
-//! EXPERIMENTS.md; format details in DESIGN.md §13).
+//! Every [`Lab`](crate::Lab) sweeps through one. With no path armed it
+//! lives in memory only ([`Journal::in_memory`]), so a cell that recurs
+//! across the figures sharing a lab — the Baseline bars every FT figure
+//! plots — is simulated once. With a path armed (`SMTSIM_JOURNAL`, see
+//! EXPERIMENTS.md; format details in DESIGN.md §13) it is also an
+//! append-only JSON-lines file, so a killed sweep relaunched with the
+//! same path skips every already-finished cell and still produces
+//! byte-identical figure output to an uninterrupted run.
 //!
-//! Layout:
+//! File layout:
 //!
 //! ```text
 //! {"smtsim_journal":1,"universe":"<fnv64 hex of the lab state>"}
@@ -20,7 +24,9 @@
 //!   fault plans). Opening a journal written under a different universe
 //!   is a typed [`JournalError::UniverseMismatch`], never a silent
 //!   reuse — the same bug class as the stale normalization cache fixed
-//!   in an earlier revision.
+//!   in an earlier revision. An in-memory journal carries the same
+//!   fingerprint, and the lab replaces it whenever the fingerprint
+//!   changes.
 //! * Each **record** is self-checking: `crc` is the FNV-1a hash of
 //!   `key|attempts|<canonical run JSON>`, and the reader re-serializes
 //!   the parsed run through the same canonical writer, so a record only
@@ -32,7 +38,7 @@
 //!   corruption anywhere else (garbage bytes, a torn middle record, a
 //!   failed crc) is a typed [`JournalError::Corrupt`].
 //!
-//! Only `Ok` cells are journaled. Failed cells re-run on resume: they
+//! Only `Ok` cells are recorded. Failed cells re-run on resume: they
 //! are cheap (they failed early) and re-running them keeps the
 //! resumed sweep's result vector — and therefore the rendered figure —
 //! identical to an uninterrupted run's.
@@ -132,22 +138,23 @@ pub struct JournalEntry {
 }
 
 /// An open sweep journal: a snapshot of previously completed cells
-/// plus an append handle for newly completed ones. Shared by sweep
-/// workers through `&Journal` — appends serialize on an internal lock.
+/// plus, when file-backed, an append handle for newly completed ones.
+/// Shared by sweep workers through `&Journal` — appends serialize on
+/// an internal lock.
 pub struct Journal {
-    path: PathBuf,
     universe: String,
     /// Records loaded at open time plus those appended through this
     /// handle — the live view `lookup` serves, so a second sweep over
     /// the same open journal sees the first sweep's cells.
     entries: Mutex<BTreeMap<String, JournalEntry>>,
-    file: Mutex<fs::File>,
+    /// The backing file and its path; `None` for an in-memory journal.
+    file: Option<(PathBuf, Mutex<fs::File>)>,
 }
 
 impl fmt::Debug for Journal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Journal")
-            .field("path", &self.path)
+            .field("path", &self.path())
             .field("entries", &self.len())
             .finish()
     }
@@ -182,16 +189,25 @@ impl Journal {
             file.flush().map_err(io)?;
         }
         Ok(Journal {
-            path: path.to_path_buf(),
             universe: universe.to_string(),
             entries: Mutex::new(entries),
-            file: Mutex::new(file),
+            file: Some((path.to_path_buf(), Mutex::new(file))),
         })
     }
 
-    /// The journal's on-disk path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// An empty journal for the universe `universe` that lives in
+    /// memory only: `record` inserts, nothing touches the disk.
+    pub fn in_memory(universe: &str) -> Journal {
+        Journal {
+            universe: universe.to_string(),
+            entries: Mutex::new(BTreeMap::new()),
+            file: None,
+        }
+    }
+
+    /// The journal's on-disk path; `None` for an in-memory journal.
+    pub fn path(&self) -> Option<&Path> {
+        self.file.as_ref().map(|(path, _)| path.as_path())
     }
 
     /// The universe fingerprint this journal was opened under.
@@ -219,14 +235,14 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Appends one completed cell as a single atomic line write, then
-    /// folds it into the live in-memory view.
+    /// Appends one completed cell as a single atomic line write (when
+    /// file-backed), then folds it into the live in-memory view.
     pub fn record(&self, key: &str, run: &MixRun, attempts: u32) -> Result<(), JournalError> {
-        let line = record_line(key, run, attempts);
-        {
-            let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((path, file)) = &self.file {
+            let line = record_line(key, run, attempts);
+            let mut file = file.lock().unwrap_or_else(|e| e.into_inner());
             let io = |e: std::io::Error| JournalError::Io {
-                path: self.path.clone(),
+                path: path.clone(),
                 detail: e.to_string(),
             };
             file.write_all(line.as_bytes()).map_err(io)?;
@@ -956,6 +972,22 @@ mod tests {
         assert_eq!(format!("{:?}", e.run), format!("{run:?}"));
         assert!(j.lookup("2|Baseline(32)").is_none());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn in_memory_journal_records_without_a_file() {
+        let uni = fingerprint_str("universe-A");
+        let j = Journal::in_memory(&uni);
+        assert!(j.path().is_none());
+        assert_eq!(j.universe(), uni);
+        assert!(j.is_empty());
+        let run = sample_run(true);
+        j.record("1|Baseline(32)", &run, 2)
+            .expect("in-memory insert");
+        let e = j.lookup("1|Baseline(32)").expect("recorded entry");
+        assert_eq!(e.attempts, 2);
+        assert_eq!(format!("{:?}", e.run), format!("{run:?}"));
+        assert!(j.lookup("2|Baseline(32)").is_none());
     }
 
     #[test]
