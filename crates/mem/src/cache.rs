@@ -132,6 +132,10 @@ pub struct Cache {
     ways: Vec<Way>, // sets * assoc, row-major by set
     set_mask: u64,
     line_shift: u32,
+    /// `line_shift` plus the set-index bits: `addr >> tag_shift` is the
+    /// tag. Computed once here rather than per access (a `count_ones`
+    /// without `popcnt` on the baseline x86-64 target).
+    tag_shift: u32,
     clock: u64,
     stats: CacheStats,
 }
@@ -141,10 +145,12 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().expect("invalid cache geometry");
         let sets = cfg.num_sets();
+        let line_shift = cfg.line.trailing_zeros();
         Cache {
             ways: vec![Way::default(); sets * cfg.assoc],
             set_mask: sets as u64 - 1,
-            line_shift: cfg.line.trailing_zeros(),
+            line_shift,
+            tag_shift: line_shift + sets.trailing_zeros(),
             clock: 0,
             stats: CacheStats::default(),
             cfg,
@@ -174,7 +180,7 @@ impl Cache {
 
     #[inline]
     fn tag_of(&self, addr: u64) -> u64 {
-        addr >> self.line_shift >> self.set_mask.count_ones()
+        addr >> self.tag_shift
     }
 
     /// Looks `addr` up; on hit, updates LRU and returns `true`.
@@ -235,8 +241,7 @@ impl Cache {
             .expect("assoc > 0");
         let victim = self.ways[victim_idx];
         let victim_set = (addr >> self.line_shift) & self.set_mask;
-        let line_addr =
-            ((victim.tag << self.set_mask.count_ones()) | victim_set) << self.line_shift;
+        let line_addr = victim.tag << self.tag_shift | victim_set << self.line_shift;
         self.stats.evictions += 1;
         if victim.dirty {
             self.stats.dirty_evictions += 1;

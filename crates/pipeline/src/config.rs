@@ -165,6 +165,10 @@ impl MachineConfig {
                 return fail(format!("{name} must be nonzero"));
             }
         }
+        // The issue stage packs an IQ arena slot into 16 key bits.
+        if self.iq_size > 1 << 16 {
+            return fail(format!("iq_size {} exceeds 65536", self.iq_size));
+        }
         // Each thread permanently pins one physical register per
         // architectural register; there must be headroom to rename.
         if self.int_regs / self.num_threads <= smtsim_isa::NUM_ARCH_INT {
@@ -246,6 +250,11 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
+        // Issue candidates pack the IQ slot into 16 bits.
+        c.iq_size = (1 << 16) + 1;
+        assert!(
+            matches!(c.validate(), Err(SimError::InvalidConfig { reason }) if reason.contains("iq_size"))
+        );
     }
 
     #[test]

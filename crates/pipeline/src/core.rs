@@ -213,9 +213,9 @@ pub(crate) struct Scratch {
     pub order: Vec<ThreadId>,
     /// Per-thread DCRA issue-queue caps.
     pub caps: Vec<usize>,
-    /// Issue candidates as `(seq, IQ arena slot)` (seq is globally
-    /// unique, so sorting the tuples is sorting by age).
-    pub cands: Vec<(u64, u32)>,
+    /// Issue candidates as packed `seq << 16 | IQ arena slot` keys
+    /// (seq is globally unique, so sorting the keys is sorting by age).
+    pub cands: Vec<u64>,
     /// Squash-path replay collection (front end / ROB).
     pub fetch_replay: Vec<DynInst>,
     pub rob_replay: Vec<DynInst>,
@@ -244,7 +244,10 @@ pub struct Simulator<T: Tracer = NoopTracer> {
     pub(crate) btb: Btb,
     pub(crate) loadhit: LoadHitPredictor,
     pub(crate) alloc: Box<dyn RobAllocator>,
-    pub(crate) events: BinaryHeap<Reverse<Event>>,
+    /// Pending timed events as packed [`Event::key`]s: one `u128`
+    /// compare orders two events, and the min-heap pops them in
+    /// `(at, thread, tag, kind)` order.
+    pub(crate) events: BinaryHeap<Reverse<u128>>,
     pub(crate) now: Cycle,
     pub(crate) global_seq: u64,
     pub(crate) commit_rr: usize,
@@ -431,20 +434,17 @@ impl<T: Tracer> Simulator<T> {
     }
 
     /// Cross-checks one correct-path L2 fill against the static DoD
-    /// bound for the load's PC. `counted` is the hardware counter value
-    /// over the same first-level window, *before* fault injection.
-    pub(crate) fn oracle_check(&mut self, r: InstRef, pc: u64, counted: u32) {
+    /// bound for the load's PC. `idx` is the load's in-flight ROB
+    /// index; `counted` is the hardware counter value over the same
+    /// first-level window, *before* fault injection.
+    pub(crate) fn oracle_check(&mut self, r: InstRef, idx: usize, pc: u64, counted: u32) {
         if self.dod_bounds.is_empty() {
             return;
         }
         let Some(max) = self.dod_bounds[r.thread].lookup(pc) else {
             return;
         };
-        let th = &self.threads[r.thread];
-        let Some(idx) = th.rob.index_of(r.tag) else {
-            return;
-        };
-        let exact = th.exact_dependents(idx, DOD_WINDOW);
+        let exact = self.threads[r.thread].exact_dependents(idx, DOD_WINDOW);
         let o = &mut self.stats.dod_oracle;
         o.checked += 1;
         o.exact_sum += exact as u64;
@@ -533,11 +533,20 @@ impl<T: Tracer> Simulator<T> {
         self.cycle_skip = enabled;
     }
 
-    /// Schedules an event.
+    /// Schedules an event. One whose thread, tag or slot hint does not
+    /// fit the packed key is an integrity violation: it is reported,
+    /// never queued under a truncated (misordered) key.
     #[inline]
     pub(crate) fn push_event(&mut self, ev: Event) {
         debug_assert!(ev.at >= self.now);
-        self.events.push(Reverse(ev));
+        match ev.key() {
+            Some(key) => self.events.push(Reverse(key)),
+            None => self.report_integrity(format!(
+                "event does not fit the packed queue key: {ev:?} (thread < {}, tag <= {:#x})",
+                smtsim_isa::MAX_THREADS,
+                Event::MAX_TAG
+            )),
+        }
     }
 
     /// Functionally warms caches and predictors
@@ -756,8 +765,8 @@ impl<T: Tracer> Simulator<T> {
         if let StopCondition::Cycles(n) = stop {
             target = target.min(n);
         }
-        if let Some(&Reverse(ev)) = self.events.peek() {
-            target = target.min(ev.at);
+        if let Some(&Reverse(key)) = self.events.peek() {
+            target = target.min(Event::key_at(key));
         }
         if let Some(max) = self.budget.max_cycles {
             target = target.min(max);
@@ -1030,8 +1039,10 @@ impl<T: Tracer> Simulator<T> {
     }
 
     /// Per-thread shared-IQ dispatch caps under DCRA; `usize::MAX` when
-    /// DCRA is not active. Register files are per-thread partitions in
-    /// this model, so the issue queue is the resource DCRA arbitrates.
+    /// DCRA is not active. Only the issue queue is capped here: the
+    /// rename pool is shared core-wide by default
+    /// (`MachineConfig::shared_regs`), and dispatch gates on a free
+    /// register separately, so DCRA arbitrates the IQ alone.
     pub(crate) fn dcra_caps_into(&self, caps: &mut Vec<usize>) {
         let n = self.cfg.num_threads;
         caps.clear();

@@ -1,16 +1,17 @@
 //! Physical register files, free lists and per-thread rename tables.
 //!
-//! Each hardware thread owns private physical register files (Table 1:
-//! 224 integer + 224 floating point per thread). The paper's analysis
-//! singles out the *shared issue queue* as the critical resource and
-//! explicitly argues register files can be scaled ("no associative
-//! addressing ... easier to implement larger register files"), and its
-//! 416-entry two-level windows would be unrealizable against a shared
-//! 224-entry pool (4 threads × 32-entry ROBs already hold ~90 renames);
-//! we therefore model the register files as per-thread partitions. Each
-//! thread pins one physical register per architectural register; the
-//! remaining 192 per class bound that thread's in-flight register
-//! writers.
+//! Table 1 gives the core 224 integer + 224 floating-point physical
+//! registers. By default (`MachineConfig::shared_regs = true`, DESIGN.md
+//! §3) each class is one shared core-wide rename pool: the simulator
+//! passes `int_regs / num_threads` per thread, and the pools of all
+//! threads are merged, so the threads compete for the whole budget. This
+//! follows the paper's analysis of "pressure on the ... register file
+//! (RF)", and it is what makes Baseline_128 collapse while the second
+//! level stays beneficial. With `shared_regs = false` (an ablation) the
+//! files are per-thread partitions of `int_regs / num_threads` each.
+//! Either way each thread pins one physical register per architectural
+//! register; the remaining registers bound the in-flight register
+//! writers (of the whole core when shared, of the thread otherwise).
 
 use smtsim_isa::{ArchReg, RegClass, ThreadId};
 
@@ -24,8 +25,10 @@ pub struct PhysReg {
     pub idx: u16,
 }
 
-/// One class's physical register storage: per-thread partitions laid
-/// out contiguously (thread `t` owns indices `[t*per_thread, (t+1)*per_thread)`).
+/// One class's physical register storage: `per_thread_total × threads`
+/// registers, with one free list for the whole core when shared, or one
+/// per thread (thread `t` owns indices
+/// `[t*per_thread_total, (t+1)*per_thread_total)`) when partitioned.
 #[derive(Clone, Debug)]
 struct File {
     ready: Vec<bool>,
@@ -78,9 +81,10 @@ pub struct RegFiles {
 impl RegFiles {
     /// Builds the register files (`int_regs`/`fp_regs` per thread) and
     /// initializes each thread's map table with freshly pinned, ready
-    /// physical registers. With `shared`, the rename pools of all
-    /// threads are merged into one core-wide pool of
-    /// `int_regs × threads` (ablation of the register-sharing model).
+    /// physical registers. With `shared` (the simulator's default), the
+    /// rename pools of all threads are merged into one core-wide pool
+    /// of `int_regs × threads`; without it, each thread keeps its own
+    /// partition (the ablation).
     ///
     /// # Panics
     /// Panics if the files cannot cover the architectural state.

@@ -11,7 +11,10 @@
 //! readiness polling entirely):
 //!
 //! * `tags` — a dense ring of per-thread tags (strictly increasing,
-//!   non-contiguous), binary-searched for tag→index lookups;
+//!   non-contiguous). A tag→index lookup first checks the physical
+//!   slot its caller remembered (the IQ records one at dispatch, timed
+//!   events one at issue: [`RobSoa::index_of_hinted`]) and
+//!   binary-searches only when the entry has moved;
 //! * `issued`/`executed` (ROB) and `store`/`resolved` (LSQ) — bitsets
 //!   indexed by *physical* ring slot, so the paper's DoD scan
 //!   ("count the result-invalid entries in the 31-entry window behind
@@ -114,7 +117,8 @@ fn placeholder_slot() -> RobSlot {
 /// physical slots. Logical index 0 is the oldest entry; tag order and
 /// logical order coincide (tags are strictly increasing).
 pub(crate) struct RobSoa {
-    /// Per-slot tags (hot: binary-searched by every event lookup).
+    /// Per-slot tags (hot: checked by every slot-hinted lookup, and
+    /// binary-searched when a hint misses).
     tags: Box<[u64]>,
     /// "Result valid" bits — the column the DoD scan popcounts.
     executed: Box<[u64]>,
@@ -159,8 +163,9 @@ impl RobSoa {
         self.mask + 1
     }
 
+    /// Physical ring slot of logical index `idx`.
     #[inline]
-    fn phys(&self, idx: usize) -> usize {
+    pub fn phys(&self, idx: usize) -> usize {
         debug_assert!(idx < self.len);
         (self.head + idx) & self.mask
     }
@@ -334,11 +339,28 @@ impl RobSoa {
     /// *inside the live window* is conclusive. (A popped entry's slot
     /// may still hold the matching tag bytes until reuse, hence the
     /// window test; `None` also covers slots relocated by a ring
-    /// `grow`, where the caller falls back to [`RobSoa::index_of`].)
+    /// `grow`, where [`RobSoa::index_of_hinted`] falls back to the
+    /// search.)
     #[inline]
-    pub fn live_at(&self, p: usize, tag: u64) -> Option<usize> {
+    fn live_at(&self, p: usize, tag: u64) -> Option<usize> {
         let idx = p.wrapping_sub(self.head) & self.mask;
         (idx < self.len && self.tags[p] == tag).then_some(idx)
+    }
+
+    /// Logical index of `tag`, trying physical slot `p` first: the
+    /// O(1) [`RobSoa::live_at`] check when `p` is inside the ring, the
+    /// [`RobSoa::index_of`] search when it is not (no hint, or a hint
+    /// from outside this ring) or when the slot no longer holds `tag`
+    /// (squashed and reused, or relocated by `grow`). Returns exactly
+    /// what `index_of(tag)` returns.
+    #[inline]
+    pub fn index_of_hinted(&self, p: usize, tag: u64) -> Option<usize> {
+        if p <= self.mask {
+            if let Some(idx) = self.live_at(p, tag) {
+                return Some(idx);
+            }
+        }
+        self.index_of(tag)
     }
 
     #[inline]
@@ -599,7 +621,8 @@ pub(crate) struct IqSoa {
     tags: Box<[u64]>,
     seqs: Box<[u64]>,
     /// Physical ROB slot, recorded at dispatch and validated with
-    /// [`RobSoa::live_at`] before use (a ring `grow` relocates slots).
+    /// [`RobSoa::index_of_hinted`] before use (a ring `grow` relocates
+    /// slots).
     robp: Box<[u32]>,
     /// Outstanding not-ready source registers (0–2).
     waitn: Box<[u8]>,
@@ -619,6 +642,28 @@ pub(crate) struct IqSoa {
     ready: Vec<(u32, u64)>,
 }
 
+/// Arena slot bits of an [`issue_key`].
+const ISSUE_SLOT_BITS: u32 = 16;
+
+/// Packs an issue candidate as `seq << 16 | slot`, so sorting keys as
+/// integers sorts by `(seq, slot)`: by global age, since seqs are
+/// unique. Arena slots fit 16 bits (`MachineConfig::validate` caps
+/// `iq_size` at 65536); seqs are dispatch counts, far below 2^48.
+#[inline]
+pub(crate) fn issue_key(seq: u64, slot: u32) -> u64 {
+    debug_assert!(seq >> (64 - ISSUE_SLOT_BITS) == 0 && slot >> ISSUE_SLOT_BITS == 0);
+    seq << ISSUE_SLOT_BITS | u64::from(slot)
+}
+
+/// Splits an [`issue_key`] back into `(seq, slot)`.
+#[inline]
+pub(crate) fn issue_key_parts(key: u64) -> (u64, u32) {
+    (
+        key >> ISSUE_SLOT_BITS,
+        (key & ((1 << ISSUE_SLOT_BITS) - 1)) as u32,
+    )
+}
+
 /// Does `(slot, seq)` still name a live arena entry? (Free function so
 /// destructured borrows can call it.)
 #[inline]
@@ -632,6 +677,10 @@ impl IqSoa {
     /// class); `num_threads` sizes the per-thread disambiguation
     /// waiter lists.
     pub fn new(cap: usize, reg_totals: [usize; 2], num_threads: usize) -> Self {
+        debug_assert!(
+            cap <= 1 << ISSUE_SLOT_BITS,
+            "IQ slots must fit an issue key"
+        );
         let column = |n: usize| -> Vec<Vec<(u32, u64)>> { vec![Vec::new(); n] };
         IqSoa {
             threads: vec![0; cap].into_boxed_slice(),
@@ -764,9 +813,10 @@ impl IqSoa {
     }
 
     /// Moves the validated contents of the ready pool into `cands` as
-    /// `(seq, slot)` (callers sort by seq — global age order). Entries
-    /// whose slot was squashed or reused since pooling are dropped.
-    pub fn drain_ready_into(&mut self, cands: &mut Vec<(u64, u32)>) {
+    /// packed [`issue_key`]s (callers sort them as integers — global
+    /// age order). Entries whose slot was squashed or reused since
+    /// pooling are dropped.
+    pub fn drain_ready_into(&mut self, cands: &mut Vec<u64>) {
         let IqSoa {
             ready,
             occupied,
@@ -775,7 +825,7 @@ impl IqSoa {
         } = self;
         for (slot, seq) in ready.drain(..) {
             if iq_live(occupied, seqs, slot, seq) {
-                cands.push((seq, slot));
+                cands.push(issue_key(seq, slot));
             }
         }
     }
@@ -995,6 +1045,93 @@ mod tests {
         assert_eq!(rob.count_unexecuted(0, usize::MAX), 100);
     }
 
+    /// The hinted lookup must answer exactly as the plain search does,
+    /// whatever the hint.
+    fn assert_hint_agrees(rob: &RobSoa, p: usize, tag: u64) {
+        assert_eq!(
+            rob.index_of_hinted(p, tag),
+            rob.index_of(tag),
+            "p={p} tag={tag}"
+        );
+    }
+
+    #[test]
+    fn rob_hint_stale_slot_reused_by_younger_tag() {
+        let mut rob = RobSoa::with_capacity(64);
+        // Wrap the head so the reused slot is not slot == index.
+        for t in 0..62 {
+            rob.push_back(inst(t, true, true));
+        }
+        for _ in 0..62 {
+            rob.pop_front();
+        }
+        for t in [100u64, 101, 102] {
+            rob.push_back(inst(t, false, true));
+        }
+        let p = rob.phys(2);
+        assert_eq!(rob.index_of_hinted(p, 102), Some(2));
+        // Squash tag 102; a younger tag takes over its slot.
+        assert_eq!(rob.pop_back().map(|e| e.tag), Some(102));
+        assert_eq!(rob.index_of_hinted(p, 102), None, "vacated slot");
+        rob.push_back(inst(110, false, true));
+        assert_eq!(rob.phys(2), p, "the new occupant reuses the slot");
+        // The stale event's tag is gone; the occupant resolves only by
+        // its own tag.
+        assert_eq!(rob.index_of_hinted(p, 102), None);
+        assert_eq!(rob.index_of_hinted(p, 110), Some(2));
+        assert!(!rob.executed(2), "the occupant is untouched");
+        for q in 0..rob.cap() {
+            for tag in [100, 101, 102, 110] {
+                assert_hint_agrees(&rob, q, tag);
+            }
+        }
+    }
+
+    #[test]
+    fn rob_hint_relocated_by_grow_falls_back_to_search() {
+        let mut rob = RobSoa::with_capacity(64);
+        for t in 0..40 {
+            rob.push_back(inst(t, true, true));
+        }
+        for _ in 0..40 {
+            rob.pop_front();
+        }
+        // 60 live entries wrapping the ring; remember their slots.
+        for t in 0..60u64 {
+            rob.push_back(inst(1000 + t * 2, false, false));
+        }
+        let hints: Vec<(usize, u64)> = (0..60).map(|i| (rob.phys(i), rob.tag_at(i))).collect();
+        assert!(hints
+            .iter()
+            .all(|&(p, tag)| rob.index_of_hinted(p, tag).is_some()));
+        // Overflow the ring: `grow` relocates every entry.
+        for t in 60..100u64 {
+            rob.push_back(inst(1000 + t * 2, false, false));
+        }
+        assert_eq!(rob.cap(), 128);
+        for (i, &(p, tag)) in hints.iter().enumerate() {
+            assert_eq!(rob.index_of_hinted(p, tag), Some(i));
+            assert_hint_agrees(&rob, p, tag);
+            assert_hint_agrees(&rob, p, tag + 1); // a squash gap
+        }
+    }
+
+    #[test]
+    fn rob_hint_out_of_range_falls_back_to_search() {
+        let mut rob = RobSoa::with_capacity(64);
+        for t in [5u64, 6, 9, 12] {
+            rob.push_back(inst(t, false, false));
+        }
+        let sentinel = usize::from(crate::types::Event::NO_SLOT);
+        for p in [rob.cap(), rob.cap() + 3, sentinel, usize::MAX] {
+            for tag in [4u64, 5, 6, 7, 9, 12, 13] {
+                assert_hint_agrees(&rob, p, tag);
+            }
+        }
+        assert_eq!(rob.index_of_hinted(sentinel, 9), Some(2));
+        assert_eq!(rob.index_of_hinted(usize::MAX, 7), None);
+    }
+
     #[test]
     fn lsq_disambiguation_and_forwarding_probes() {
         let mut lsq = LsqSoa::with_capacity(8);
@@ -1070,18 +1207,22 @@ mod tests {
 
         let mut cands = Vec::new();
         iq.drain_ready_into(&mut cands);
-        assert_eq!(cands, vec![(100, 0)], "only A is ready at dispatch");
+        assert_eq!(
+            cands,
+            vec![issue_key(100, 0)],
+            "only A is ready at dispatch"
+        );
 
         // r3 resolves: B's double registration counts down 2 -> 0; C
         // still waits on r5.
         iq.wake_reg(r(3));
         cands.clear();
         iq.drain_ready_into(&mut cands);
-        assert_eq!(cands, vec![(101, 1)]);
+        assert_eq!(cands, vec![issue_key(101, 1)]);
         iq.wake_reg(r(5));
         cands.clear();
         iq.drain_ready_into(&mut cands);
-        assert_eq!(cands, vec![(102, 2)]);
+        assert_eq!(cands, vec![issue_key(102, 2)]);
         // Accessors address entries by arena slot.
         assert_eq!((iq.thread(2), iq.tag(2), iq.robp(2)), (0, 11, 2));
     }
@@ -1113,7 +1254,7 @@ mod tests {
         lsq.set_resolved(lsq.index_of(3).unwrap());
         iq.wake_lsq(0, &lsq);
         iq.drain_ready_into(&mut cands);
-        assert_eq!(cands, vec![(100, 0)]);
+        assert_eq!(cands, vec![issue_key(100, 0)]);
     }
 
     #[test]
@@ -1146,7 +1287,10 @@ mod tests {
         // waiter and the reused slot's new entry woken by r9, plus
         // thread 1's entry pooled at push.
         cands.sort_unstable();
-        assert_eq!(cands, vec![(100, 0), (102, 2), (103, 1)]);
+        assert_eq!(
+            cands,
+            vec![issue_key(100, 0), issue_key(102, 2), issue_key(103, 1)]
+        );
         // After the issued entries' slots are freed, pool leftovers
         // from before the free are dropped by validation.
         iq.requeue_ready(0, 100);

@@ -4,7 +4,8 @@
 use crate::config::FetchPolicyKind;
 use crate::core::{Fetched, RobView, Simulator};
 use crate::fault::FillFault;
-use crate::rob_policy::{MissEvent, RobQuery};
+use crate::rob_policy::MissEvent;
+use crate::soa::issue_key_parts;
 use crate::types::{BranchState, Event, EventKind, InstRef, InstState, LsqEntry, MemState};
 use smtsim_isa::{OpClass, ThreadId, INST_BYTES};
 use smtsim_obs::{DodSource, StallKind, TraceEvent, Tracer};
@@ -32,28 +33,35 @@ impl<T: Tracer> Simulator<T> {
     // ------------------------------------------------------------------
 
     pub(crate) fn process_events(&mut self) {
-        while let Some(&Reverse(ev)) = self.events.peek() {
-            if ev.at > self.now {
+        while let Some(&Reverse(key)) = self.events.peek() {
+            if Event::key_at(key) > self.now {
                 break;
             }
             self.events.pop();
             // Even a stale event (squashed target) counts as activity:
             // it changed the event queue the skip decision peeks at.
             self.cycle_activity = true;
+            let ev = Event::from_key(key);
+            // Squashed instructions leave stale events behind; drop
+            // them. The slot hint makes the lookup O(1) unless the
+            // entry moved.
+            let Some(idx) = self.threads[ev.inst.thread]
+                .rob
+                .index_of_hinted(usize::from(ev.rob_slot), ev.inst.tag)
+            else {
+                continue;
+            };
             match ev.kind {
-                EventKind::Complete => self.handle_complete(ev.inst),
-                EventKind::L2MissDetected => self.handle_miss_detected(ev.inst),
-                EventKind::L2Fill => self.handle_fill(ev.inst),
+                EventKind::Complete => self.handle_complete(ev.inst, idx),
+                EventKind::L2MissDetected => self.handle_miss_detected(ev.inst, idx),
+                EventKind::L2Fill => self.handle_fill(ev.inst, idx),
             }
         }
     }
 
-    /// Writeback: the instruction's result becomes valid.
-    fn handle_complete(&mut self, r: InstRef) {
-        // Squashed instructions leave stale events behind; drop them.
-        let Some(idx) = self.threads[r.thread].rob.index_of(r.tag) else {
-            return;
-        };
+    /// Writeback: the instruction's result becomes valid. `idx` is the
+    /// in-flight ROB index of `r`.
+    fn handle_complete(&mut self, r: InstRef, idx: usize) {
         let th = &mut self.threads[r.thread];
         debug_assert!(!th.rob.executed(idx), "double completion for {r:?}");
         th.rob.set_executed(idx, true);
@@ -117,10 +125,7 @@ impl<T: Tracer> Simulator<T> {
     }
 
     /// The core notices an L2 miss (L1 probe + L2 probe have completed).
-    fn handle_miss_detected(&mut self, r: InstRef) {
-        let Some(idx) = self.threads[r.thread].rob.index_of(r.tag) else {
-            return;
-        };
+    fn handle_miss_detected(&mut self, r: InstRef, idx: usize) {
         if self.threads[r.thread].rob.executed(idx) {
             return; // forwarding or a squash/refetch race resolved it
         }
@@ -167,10 +172,7 @@ impl<T: Tracer> Simulator<T> {
 
     /// The fill for an L2-missing load arrives: sample the DoD
     /// histogram (Figures 1/3/7) and notify the policy.
-    fn handle_fill(&mut self, r: InstRef) {
-        let Some(idx) = self.threads[r.thread].rob.index_of(r.tag) else {
-            return;
-        };
+    fn handle_fill(&mut self, r: InstRef, idx: usize) {
         let s = self.threads[r.thread].rob.slot_mut(idx);
         let Some(m) = s.mem.as_mut() else { return };
         let was_visible = std::mem::take(&mut m.miss_visible);
@@ -198,15 +200,10 @@ impl<T: Tracer> Simulator<T> {
         //   grows as deeper windows capture more of the dependence
         //   shadow.
         let (counted_policy, counted_full) = {
-            let view = RobView {
-                threads: &self.threads,
-            };
+            let rob = &self.threads[r.thread].rob;
             (
-                view.count_unexecuted_younger(r.thread, r.tag, self.cfg_dod_window())
-                    .unwrap_or(0),
-                view.count_unexecuted_younger(r.thread, r.tag, usize::MAX)
-                    .unwrap_or(0)
-                    .min(31),
+                rob.count_unexecuted(idx + 1, self.cfg_dod_window()),
+                rob.count_unexecuted(idx + 1, usize::MAX).min(31),
             )
         };
         if T::ENABLED {
@@ -225,7 +222,7 @@ impl<T: Tracer> Simulator<T> {
             // (fault injection may corrupt the copy handed to the
             // policy below, but the oracle audits the machine, not the
             // fault plan).
-            self.oracle_check(r, ev.pc, counted_policy);
+            self.oracle_check(r, idx, ev.pc, counted_policy);
             if T::ENABLED {
                 // The same pre-fault counter value the oracle audits,
                 // so episode DoD agrees with `SimStats::dod_oracle`.
@@ -390,7 +387,8 @@ impl<T: Tracer> Simulator<T> {
         self.cycle_activity = true;
         cands.sort_unstable();
         let mut width = self.cfg.issue_width;
-        for &(seq, slot) in &cands {
+        for &key in &cands {
+            let (seq, slot) = issue_key_parts(key);
             if width == 0 {
                 // Out of issue bandwidth: everything still ready stays
                 // pooled for next cycle.
@@ -403,21 +401,15 @@ impl<T: Tracer> Simulator<T> {
             // ring `grow` relocated it. An IQ entry whose instruction
             // is no longer in flight means squash cleanup missed it —
             // an integrity violation, not a panic.
-            let idx = match self.threads[t].rob.live_at(p, tag) {
-                Some(idx) => idx,
-                None => match self.threads[t].rob.index_of(tag) {
-                    Some(idx) => idx,
-                    None => {
-                        self.report_integrity(format!(
-                            "IQ entry not in flight: now={} t{t} tag {tag} rob=[{:?}..{:?}] len={}",
-                            self.now,
-                            self.threads[t].rob.front_tag(),
-                            self.threads[t].rob.back_tag(),
-                            self.threads[t].rob.len()
-                        ));
-                        continue;
-                    }
-                },
+            let Some(idx) = self.threads[t].rob.index_of_hinted(p, tag) else {
+                self.report_integrity(format!(
+                    "IQ entry not in flight: now={} t{t} tag {tag} rob=[{:?}..{:?}] len={}",
+                    self.now,
+                    self.threads[t].rob.front_tag(),
+                    self.threads[t].rob.back_tag(),
+                    self.threads[t].rob.len()
+                ));
+                continue;
             };
             let op = self.threads[t].rob.slot(idx).di.op;
             if !self.fu.can_issue(op, self.now) {
@@ -440,12 +432,15 @@ impl<T: Tracer> Simulator<T> {
     /// access for loads, and schedules completion. `idx` is the
     /// caller's ROB index for `(t, tag)`; nothing between the lookup
     /// and the flag writes below mutates the ROB, so it stays valid.
+    /// Every event scheduled here carries the entry's physical ROB slot
+    /// as its lookup hint.
     fn do_issue(&mut self, t: ThreadId, tag: u64, idx: usize) {
         let (op, addr, pc, wrong_path) = {
             let s = self.threads[t].rob.slot(idx);
             (s.di.op, s.di.mem_addr, s.di.pc, s.wrong_path)
         };
         let r = InstRef { thread: t, tag };
+        let rob_slot = Event::slot_hint(self.threads[t].rob.phys(idx));
         let mut mem_state: Option<MemState> = None;
         let mut fill_fault = FillFault::None;
         let complete_at;
@@ -497,12 +492,14 @@ impl<T: Tracer> Simulator<T> {
                             at: res.l2_miss_detected_at.max(self.now),
                             kind: EventKind::L2MissDetected,
                             inst: r,
+                            rob_slot,
                         });
                         if fill_fault != FillFault::Drop {
                             self.push_event(Event {
                                 at: complete_at.max(self.now),
                                 kind: EventKind::L2Fill,
                                 inst: r,
+                                rob_slot,
                             });
                         }
                     } else {
@@ -534,6 +531,7 @@ impl<T: Tracer> Simulator<T> {
                 at: complete_at.max(self.now + 1),
                 kind: EventKind::Complete,
                 inst: r,
+                rob_slot,
             });
         }
     }

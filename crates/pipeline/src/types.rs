@@ -114,7 +114,8 @@ pub struct LsqEntry {
     pub resolved: bool,
 }
 
-/// Timed pipeline events processed from a priority queue.
+/// Timed pipeline events. The event queue stores each one as its
+/// packed [`Event::key`]; the kind occupies two key bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// Functional-unit / memory completion: mark executed, wake
@@ -127,7 +128,11 @@ pub enum EventKind {
     L2Fill,
 }
 
-/// An entry in the event queue.
+/// An entry in the event queue, ordered by `(at, thread, tag, kind)`
+/// and then by the slot hint. `(thread, tag, kind)` already names at
+/// most one pending event, so the hint never decides the order between
+/// two real events; it is in the order only so that `Ord` agrees with
+/// the packed [`Event::key`] the queue holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
     /// When the event fires.
@@ -136,19 +141,107 @@ pub struct Event {
     pub kind: EventKind,
     /// The instruction it concerns.
     pub inst: InstRef,
+    /// Physical ROB slot `inst` occupied when the event was scheduled,
+    /// or [`Event::NO_SLOT`]. Only a hint: the queue validates it by
+    /// tag (`RobSoa::index_of_hinted`) and falls back to a search when
+    /// a squash or a ring `grow` moved the entry.
+    pub rob_slot: u16,
+}
+
+/// Key bits below `at`: thread (3), tag (48), kind (2), slot hint (11).
+const KEY_THREAD_BITS: u32 = 3;
+const KEY_TAG_BITS: u32 = 48;
+const KEY_KIND_BITS: u32 = 2;
+const KEY_SLOT_BITS: u32 = 11;
+const KEY_KIND_SHIFT: u32 = KEY_SLOT_BITS;
+const KEY_TAG_SHIFT: u32 = KEY_KIND_SHIFT + KEY_KIND_BITS;
+const KEY_THREAD_SHIFT: u32 = KEY_TAG_SHIFT + KEY_TAG_BITS;
+const _: () = assert!(KEY_THREAD_SHIFT + KEY_THREAD_BITS == 64);
+const _: () = assert!(smtsim_isa::MAX_THREADS <= 1 << KEY_THREAD_BITS);
+
+impl Event {
+    /// "No slot hint": the all-ones 11-bit value, past every ring the
+    /// paper machines build (512 slots).
+    pub const NO_SLOT: u16 = (1 << KEY_SLOT_BITS) - 1;
+    /// Largest tag the key can hold.
+    pub const MAX_TAG: u64 = (1 << KEY_TAG_BITS) - 1;
+
+    /// The slot hint for physical ROB slot `p`: `p` itself when it fits
+    /// below [`Event::NO_SLOT`], otherwise no hint.
+    #[inline]
+    pub fn slot_hint(p: usize) -> u16 {
+        if p < Self::NO_SLOT as usize {
+            p as u16
+        } else {
+            Self::NO_SLOT
+        }
+    }
+
+    /// The packed queue key: `at` in the high 64 bits, then thread,
+    /// tag, kind and slot hint, so comparing keys as integers is
+    /// comparing events with [`Ord`]. `None` when the thread, tag or
+    /// hint does not fit its field.
+    #[inline]
+    pub fn key(&self) -> Option<u128> {
+        let thread = self.inst.thread as u64;
+        if thread >> KEY_THREAD_BITS != 0
+            || self.inst.tag > Self::MAX_TAG
+            || self.rob_slot > Self::NO_SLOT
+        {
+            return None;
+        }
+        let low = thread << KEY_THREAD_SHIFT
+            | self.inst.tag << KEY_TAG_SHIFT
+            | (self.kind as u64) << KEY_KIND_SHIFT
+            | self.rob_slot as u64;
+        Some(u128::from(self.at) << 64 | u128::from(low))
+    }
+
+    /// Decodes a key produced by [`Event::key`] (which never encodes
+    /// kind 3).
+    #[inline]
+    pub fn from_key(key: u128) -> Event {
+        let low = key as u64;
+        let field = |shift: u32, bits: u32| (low >> shift) & ((1 << bits) - 1);
+        let kind = match field(KEY_KIND_SHIFT, KEY_KIND_BITS) {
+            0 => EventKind::Complete,
+            1 => EventKind::L2MissDetected,
+            _ => EventKind::L2Fill,
+        };
+        Event {
+            at: (key >> 64) as Cycle,
+            kind,
+            inst: InstRef {
+                thread: field(KEY_THREAD_SHIFT, KEY_THREAD_BITS) as ThreadId,
+                tag: field(KEY_TAG_SHIFT, KEY_TAG_BITS),
+            },
+            rob_slot: field(0, KEY_SLOT_BITS) as u16,
+        }
+    }
+
+    /// Time of the event behind `key`, without decoding the rest.
+    #[inline]
+    pub fn key_at(key: u128) -> Cycle {
+        (key >> 64) as Cycle
+    }
 }
 
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by time via reversed comparison at the BinaryHeap
-        // call site; here: order by (at, seq-ish identity) for
-        // determinism.
-        (self.at, self.inst.thread, self.inst.tag, self.kind as u8).cmp(&(
-            other.at,
-            other.inst.thread,
-            other.inst.tag,
-            other.kind as u8,
-        ))
+        (
+            self.at,
+            self.inst.thread,
+            self.inst.tag,
+            self.kind as u8,
+            self.rob_slot,
+        )
+            .cmp(&(
+                other.at,
+                other.inst.thread,
+                other.inst.tag,
+                other.kind as u8,
+                other.rob_slot,
+            ))
     }
 }
 
@@ -161,6 +254,7 @@ impl PartialOrd for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smtsim_isa::OpClass;
 
     fn dummy_inst(tag: u64) -> InstState {
@@ -204,25 +298,159 @@ mod tests {
         assert!(!i.pending_l2_miss());
     }
 
+    fn ev(at: Cycle, kind: EventKind, thread: ThreadId, tag: u64, rob_slot: u16) -> Event {
+        Event {
+            at,
+            kind,
+            inst: InstRef { thread, tag },
+            rob_slot,
+        }
+    }
+
     #[test]
     fn event_ordering_is_total_and_time_major() {
-        let e1 = Event {
-            at: 5,
-            kind: EventKind::Complete,
-            inst: InstRef { thread: 1, tag: 9 },
-        };
-        let e2 = Event {
-            at: 6,
-            kind: EventKind::Complete,
-            inst: InstRef { thread: 0, tag: 1 },
-        };
+        let e1 = ev(5, EventKind::Complete, 1, 9, 0);
+        let e2 = ev(6, EventKind::Complete, 0, 1, 0);
         assert!(e1 < e2);
-        let e3 = Event {
-            at: 5,
-            kind: EventKind::Complete,
-            inst: InstRef { thread: 0, tag: 2 },
-        };
+        let e3 = ev(5, EventKind::Complete, 0, 2, 0);
         assert!(e3 < e1, "same time orders by thread/tag");
+    }
+
+    const KINDS: [EventKind; 3] = [
+        EventKind::Complete,
+        EventKind::L2MissDetected,
+        EventKind::L2Fill,
+    ];
+
+    #[test]
+    fn event_key_round_trips_every_field() {
+        let top_thread = smtsim_isa::MAX_THREADS - 1;
+        for kind in KINDS {
+            for e in [
+                ev(0, kind, 0, 0, 0),
+                ev(7, kind, 2, 12_345, 17),
+                ev(u64::MAX, kind, top_thread, Event::MAX_TAG, Event::NO_SLOT),
+                ev(
+                    u64::MAX - 1,
+                    kind,
+                    top_thread,
+                    Event::MAX_TAG - 1,
+                    Event::NO_SLOT - 1,
+                ),
+                ev(1 << 63, kind, 0, 1 << 47, Event::slot_hint(511)),
+            ] {
+                let key = e.key().expect("every field fits");
+                assert_eq!(Event::from_key(key), e);
+                assert_eq!(Event::key_at(key), e.at);
+            }
+        }
+    }
+
+    #[test]
+    fn event_key_boundaries_keep_the_field_order() {
+        let top_thread = smtsim_isa::MAX_THREADS - 1;
+        let key = |e: Event| e.key().expect("fits");
+        // The largest tag and thread never carry into the next field up.
+        let max = ev(
+            3,
+            EventKind::L2Fill,
+            top_thread,
+            Event::MAX_TAG,
+            Event::NO_SLOT,
+        );
+        assert!(key(max) < key(ev(4, EventKind::Complete, 0, 0, 0)));
+        assert!(
+            key(ev(3, EventKind::L2Fill, 0, Event::MAX_TAG, Event::NO_SLOT))
+                < key(ev(3, EventKind::Complete, 1, 0, 0))
+        );
+        // `at` near the top of the range stays time-major.
+        let late = ev(u64::MAX, EventKind::Complete, 0, 0, 0);
+        assert!(
+            key(ev(
+                u64::MAX - 1,
+                EventKind::L2Fill,
+                top_thread,
+                Event::MAX_TAG,
+                0
+            )) < key(late)
+        );
+        // Out-of-range fields have no key.
+        assert_eq!(
+            ev(0, EventKind::Complete, 0, Event::MAX_TAG + 1, 0).key(),
+            None
+        );
+        assert_eq!(ev(0, EventKind::Complete, 1 << 3, 0, 0).key(), None);
+        assert_eq!(
+            ev(0, EventKind::Complete, 0, 0, Event::NO_SLOT + 1).key(),
+            None
+        );
+        // Slots that do not fit become "no hint".
+        assert_eq!(Event::slot_hint(Event::NO_SLOT as usize), Event::NO_SLOT);
+        assert_eq!(Event::slot_hint(usize::MAX), Event::NO_SLOT);
+        assert_eq!(Event::slot_hint(0), 0);
+    }
+
+    /// Mostly full-range draws, with a narrow arm per field so equal
+    /// prefixes (and so the lower fields' order) come up often.
+    fn arb_event() -> impl Strategy<Value = Event> {
+        (
+            prop_oneof![0u64..3, any::<u64>()],
+            prop::sample::select(KINDS.to_vec()),
+            0..smtsim_isa::MAX_THREADS,
+            prop_oneof![0u64..3, 0..=Event::MAX_TAG],
+            prop_oneof![0u16..3, 0..=Event::NO_SLOT],
+        )
+            .prop_map(|(at, kind, thread, tag, slot)| ev(at, kind, thread, tag, slot))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn event_key_order_agrees_with_event_ord(a in arb_event(), b in arb_event()) {
+            let (ka, kb) = (a.key().expect("fits"), b.key().expect("fits"));
+            prop_assert_eq!(ka.cmp(&kb), a.cmp(&b), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(Event::from_key(ka), a);
+        }
+    }
+
+    #[test]
+    fn event_key_overflow_is_an_invariant_violation() {
+        use crate::{FixedRob, MachineConfig, SimError, Simulator};
+        use smtsim_workload::Workload;
+        use std::sync::Arc;
+        let wl = Arc::new(Workload::spec("gzip", 1, 0x1_0000, 0x1000_0000));
+        let new_sim = || {
+            Simulator::new(
+                MachineConfig::icpp08_single(),
+                vec![wl.clone()],
+                Box::new(FixedRob::new(32)),
+                7,
+            )
+        };
+        // The largest tag that fits is queued; not being in flight, it
+        // is dropped as stale when it fires.
+        let mut sim = new_sim();
+        sim.push_event(ev(
+            0,
+            EventKind::Complete,
+            0,
+            Event::MAX_TAG,
+            Event::NO_SLOT,
+        ));
+        assert_eq!(sim.events.len(), 1);
+        sim.try_step().expect("a stale event is not a violation");
+        assert!(sim.events.is_empty());
+        // One past it is reported, and never queued under a truncated key.
+        let mut sim = new_sim();
+        sim.push_event(ev(0, EventKind::L2Fill, 0, Event::MAX_TAG + 1, 3));
+        assert!(sim.events.is_empty());
+        match sim.try_step() {
+            Err(SimError::InvariantViolation { detail, .. }) => {
+                assert!(detail.contains("packed queue key"), "{detail}");
+            }
+            other => panic!("expected InvariantViolation, got {other:?}"),
+        }
     }
 
     #[test]
